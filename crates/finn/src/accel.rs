@@ -6,16 +6,19 @@
 //! precludes concurrency across layers and implies a higher latency compared
 //! to a pipeline as the feature maps between layers are computed in full
 //! before the computation of the next layer can be triggered" (§III-A).
+//!
+//! Values come from the packed kernel plan, time from
+//! [`conv_layer_cycles`]; [`ConvEngine::run_layer`] is the test oracle.
 
 use crate::device::FpgaDevice;
-use crate::engine::{ConvEngine, EngineConfig};
+use crate::engine::{conv_layer_cycles, ConvEngine, EngineConfig};
 use crate::fault::{result_checksum, FaultInjector, FaultKind};
 use crate::resource::ResourceEstimate;
 use std::sync::Arc;
-use tincy_kernels::{KernelPlan, PackedLayer, TuneBudget};
+use tincy_kernels::{max_pool_levels, KernelPlan, PackedLayer, TuneBudget};
 use tincy_nn::NnError;
 use tincy_quant::{BinaryDot, ThresholdsForLayer};
-use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor, U3Tensor};
+use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 use tincy_trace::static_label;
 
 /// Activation bit width of the offloaded hidden layers (W1A3).
@@ -113,6 +116,11 @@ impl QnnLayerParams {
         (self.weights.rows() * self.weights.cols()) as u64
     }
 
+    /// Engine cycles per frame under `config` ([`conv_layer_cycles`]).
+    pub(crate) fn cycles(&self, config: EngineConfig) -> u64 {
+        conv_layer_cycles(self.in_shape, self.weights.rows(), self.geom, config)
+    }
+
     /// Dot-product operations per frame (paper accounting, conv only).
     pub fn ops(&self) -> u64 {
         let conv = self.geom.output_shape(self.in_shape, self.weights.rows());
@@ -161,7 +169,7 @@ impl AccelReport {
 #[derive(Debug, Clone)]
 pub struct QnnAccelerator {
     layers: Vec<QnnLayerParams>,
-    /// The same stack prepared for the packed CPU fallback path.
+    /// The same stack packed: the fabric's and the fallback's compute path.
     packed: Vec<PackedLayer>,
     /// Autotuned kernel choice per layer (shared via the process cache).
     plan: Arc<KernelPlan>,
@@ -277,7 +285,8 @@ impl QnnAccelerator {
             .sum()
     }
 
-    /// Runs the whole hidden stack on one engine, layer by layer.
+    /// Runs the whole hidden stack on one engine, layer by layer: values
+    /// from the packed plan, cycles from [`conv_layer_cycles`].
     ///
     /// With a fault injector attached, the invocation first draws its fault
     /// decision: transfer-class faults (DMA timeout, busy fabric, lost
@@ -343,18 +352,16 @@ impl QnnAccelerator {
                 .layer(layer_ix)
                 .cycles(swap_cycles)
                 .emit();
-            let mut cycles = 0u64;
             {
                 let _span = tincy_trace::span(static_label!("finn.layer"))
                     .layer(layer_ix)
                     .batch(batch)
                     .start();
                 for fmap in &mut fmaps {
-                    let (out, layer_time) = self.engine.run_layer(layer, fmap)?;
-                    cycles += layer_time;
-                    *fmap = out;
+                    *fmap = self.layer_step(index, fmap, false)?;
                 }
             }
+            let cycles = u64::from(batch) * layer.cycles(self.engine.config());
             tincy_trace::span(static_label!("finn.layer_cycles"))
                 .layer(layer_ix)
                 .cycles(cycles)
@@ -381,33 +388,44 @@ impl QnnAccelerator {
         Ok((fmaps, report))
     }
 
-    /// The bit-exact software fallback path, served by the autotuned
-    /// packed XNOR-popcount kernels. Identical results to
-    /// [`QnnAccelerator::reference_run_naive`] (and therefore to the
-    /// hardware path) at a fraction of the time — this is what degraded
-    /// serving runs per frame.
+    /// The software fallback: the packed layer step of
+    /// [`QnnAccelerator::run_batch`] as CPU kernel work, without faults or
+    /// cycles — what degraded serving runs per frame.
     ///
     /// # Errors
     ///
     /// Returns [`NnError`] on a shape mismatch.
     pub fn reference_run(&self, input: &Tensor<u8>) -> Result<Tensor<u8>, NnError> {
         let mut fmap = input.clone();
-        for (index, packed) in self.packed.iter().enumerate() {
-            if fmap.shape() != packed.in_shape() {
-                return Err(NnError::ShapeMismatch {
-                    expected: packed.in_shape().to_string(),
-                    actual: fmap.shape().to_string(),
-                });
-            }
-            let entry = self.plan.entry(index);
-            fmap = packed.forward(&fmap, entry.variant, entry.threads);
+        for index in 0..self.packed.len() {
+            fmap = self.layer_step(index, &fmap, true)?;
         }
         Ok(fmap)
     }
 
+    /// Layer `i` on its packed kernel and plan entry: the one compute step
+    /// of fabric and fallback. Only the fallback is `traced` as a
+    /// `cpu.kernel.*` span; fabric time stays under `finn.layer`.
+    fn layer_step(&self, i: usize, fmap: &Tensor<u8>, traced: bool) -> Result<Tensor<u8>, NnError> {
+        let packed = &self.packed[i];
+        if fmap.shape() != packed.in_shape() {
+            return Err(NnError::ShapeMismatch {
+                expected: packed.in_shape().to_string(),
+                actual: fmap.shape().to_string(),
+            });
+        }
+        let entry = self.plan.entry(i);
+        let forward = if traced {
+            PackedLayer::forward
+        } else {
+            PackedLayer::forward_untraced
+        };
+        Ok(forward(packed, fmap, entry.variant, entry.threads))
+    }
+
     /// Pure-software golden reference: naive signed dot products plus
-    /// threshold activation, no packing, no folding. The hardware path and
-    /// the packed fallback path must both match this **bit exactly**.
+    /// threshold activation, no packing, no folding — a test and bench
+    /// oracle the packed path must match **bit exactly**.
     ///
     /// # Errors
     ///
@@ -483,7 +501,7 @@ impl QnnAccelerator {
     }
 }
 
-/// Reference evaluation of one layer (shared with tests and the backend).
+/// Naive reference evaluation of one layer.
 pub(crate) fn reference_layer(
     layer: &QnnLayerParams,
     input: &Tensor<u8>,
@@ -520,8 +538,6 @@ pub(crate) fn reference_layer(
                     }
                 }
             }
-            // The packed path exists only on the engine; here we stay naive.
-            let _ = U3Tensor::from_values(&footprint);
             for ch in 0..conv_shape.channels {
                 let acc = dot.dot_naive(ch, &footprint);
                 *conv_out.at_mut(ch, oy, ox) = layer.thresholds().channel(ch).activate(acc);
@@ -529,7 +545,7 @@ pub(crate) fn reference_layer(
         }
     }
     Ok(match layer.pool() {
-        Some(pool) => crate::engine::max_pool_levels(&conv_out, pool),
+        Some(pool) => max_pool_levels(&conv_out, pool),
         None => conv_out,
     })
 }
@@ -573,17 +589,55 @@ mod tests {
         QnnAccelerator::new(vec![l1, l2], EngineConfig::default()).unwrap()
     }
 
+    /// The MVTU oracle: the hidden stack as a chain of behavioural
+    /// [`ConvEngine::run_layer`] calls, with per-layer cycles.
+    fn oracle_run(accel: &QnnAccelerator, input: &Tensor<u8>) -> (Tensor<u8>, Vec<u64>) {
+        let engine = ConvEngine::new(accel.engine.config()).unwrap();
+        let mut fmap = input.clone();
+        let mut cycles = Vec::new();
+        for layer in accel.layers() {
+            let (out, layer_cycles) = engine.run_layer(layer, &fmap).unwrap();
+            fmap = out;
+            cycles.push(layer_cycles);
+        }
+        (fmap, cycles)
+    }
+
     #[test]
     fn hardware_path_is_bit_exact_with_reference() {
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..3 {
             let accel = two_layer_accel(&mut rng);
-            let input = Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8);
-            let (hw, _) = accel.run(&input).unwrap();
-            let sw = accel.reference_run(&input).unwrap();
-            assert_eq!(
-                hw, sw,
-                "MVTU path must match the naive integer reference bit-exactly"
+            let inputs: Vec<Tensor<u8>> = (0..2)
+                .map(|_| Tensor::from_fn(accel.input_shape(), |_, _, _| rng.gen_range(0..8) as u8))
+                .collect();
+            let (batched, batch_report) = accel.run_batch(&inputs).unwrap();
+            for (input, out) in inputs.iter().zip(&batched) {
+                let (hw, report) = accel.run(input).unwrap();
+                let (oracle, oracle_cycles) = oracle_run(&accel, input);
+                assert_eq!(hw, oracle, "fabric must match the MVTU oracle bit-exactly");
+                assert_eq!(out, &oracle, "batched fabric must match the MVTU oracle");
+                assert_eq!(hw, accel.reference_run_naive(input).unwrap());
+                assert_eq!(report.layer_cycles, oracle_cycles);
+                let doubled: Vec<u64> = oracle_cycles.iter().map(|c| 2 * c).collect();
+                assert_eq!(batch_report.layer_cycles, doubled);
+            }
+        }
+    }
+
+    #[test]
+    fn shape_mismatch_rejected_on_every_path() {
+        let mut rng = StdRng::seed_from_u64(98);
+        let accel = two_layer_accel(&mut rng);
+        let wrong = Tensor::<u8>::zeros(Shape3::new(4, 7, 7));
+        for err in [
+            accel.run(&wrong).unwrap_err(),
+            accel.reference_run(&wrong).unwrap_err(),
+            accel.reference_run_naive(&wrong).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, NnError::ShapeMismatch { .. }),
+                "unexpected error {err}"
             );
         }
     }

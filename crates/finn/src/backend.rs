@@ -98,10 +98,6 @@ impl FabricBackend {
         self.act_step
     }
 
-    fn conv_param_count(spec: &ConvSpec, in_channels: usize) -> usize {
-        spec.num_params(in_channels)
-    }
-
     /// Deterministic default parameters so a freshly initialized backend is
     /// immediately runnable (mirroring Darknet's random layer init); a
     /// later `load_weights` overrides them.
@@ -147,6 +143,13 @@ impl FabricBackend {
             shapes.push(shape);
         }
         shapes
+    }
+
+    /// The built accelerator, or an error before `load_weights`.
+    fn loaded(&self) -> Result<&QnnAccelerator, NnError> {
+        self.accel.as_ref().ok_or(NnError::InvalidSpec {
+            what: "fabric backend used before load_weights".to_owned(),
+        })
     }
 
     /// Runs the offline FINN flow: binarize weights, fold BN + activation
@@ -197,6 +200,16 @@ impl FabricBackend {
         self.accel = Some(accel);
         Ok(())
     }
+}
+
+/// Quantizes a float feature map to the hidden stack's 3-bit levels.
+fn quantize(input: &Tensor<f32>, step: f32) -> Tensor<u8> {
+    input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8)
+}
+
+/// Maps 3-bit activation levels back to float values.
+fn dequantize(levels: &Tensor<u8>, step: f32) -> Tensor<f32> {
+    levels.map(|l| l as f32 * step)
 }
 
 impl OffloadBackend for FabricBackend {
@@ -291,48 +304,31 @@ impl OffloadBackend for FabricBackend {
     }
 
     fn forward(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Tensor<u8> = input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8);
-        let (levels, report) = accel.run(&quantized)?;
+        let (levels, report) = self.loaded()?.run(&quantize(input, step))?;
         self.last_report = Some(report);
-        Ok(levels.map(|l| l as f32 * step))
+        Ok(dequantize(&levels, step))
     }
 
-    /// CPU fallback: the golden software reference, which the hardware path
+    /// CPU fallback: the packed software path, which the hardware path
     /// matches **bit exactly** — so frames completed in degraded mode are
     /// byte-identical to fault-free frames.
     fn forward_reference(&mut self, input: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Tensor<u8> = input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8);
-        let levels = accel.reference_run(&quantized)?;
+        let levels = self.loaded()?.reference_run(&quantize(input, step))?;
         // No hardware report for a host-side pass; leave the last one.
-        Ok(levels.map(|l| l as f32 * step))
+        Ok(dequantize(&levels, step))
     }
 
     /// Batched offload: one accelerator invocation for the whole
     /// micro-batch, streaming each layer's weights in once — the
     /// amortization the serving layer's batch former exists to exploit.
     fn forward_batch(&mut self, inputs: &[Tensor<f32>]) -> Result<Vec<Tensor<f32>>, NnError> {
-        let accel = self.accel.as_ref().ok_or(NnError::InvalidSpec {
-            what: "fabric backend used before load_weights".to_owned(),
-        })?;
         let step = self.act_step;
-        let quantized: Vec<Tensor<u8>> = inputs
-            .iter()
-            .map(|input| input.map(|v| ((v / step).round().clamp(0.0, 7.0)) as u8))
-            .collect();
-        let (levels, report) = accel.run_batch(&quantized)?;
+        let quantized: Vec<Tensor<u8>> = inputs.iter().map(|t| quantize(t, step)).collect();
+        let (levels, report) = self.loaded()?.run_batch(&quantized)?;
         self.last_report = Some(report);
-        Ok(levels
-            .into_iter()
-            .map(|t| t.map(|l| l as f32 * step))
-            .collect())
+        Ok(levels.iter().map(|t| dequantize(t, step)).collect())
     }
 
     fn num_params(&self) -> usize {
@@ -343,7 +339,7 @@ impl OffloadBackend for FabricBackend {
         self.hidden
             .iter()
             .enumerate()
-            .map(|(i, (conv, _))| Self::conv_param_count(conv, shapes[i].channels))
+            .map(|(i, (conv, _))| conv.num_params(shapes[i].channels))
             .sum()
     }
 

@@ -3,14 +3,17 @@
 //! §III-A: "only a single generalized convolutional layer together with its
 //! subsequent pooling layer would fit into the available fabric. The layers
 //! of the network must be run one after the other on the same accelerator."
-//! One [`ConvEngine`] is that hardware: a sliding-window unit feeding a
-//! folded MVTU, with an optional in-stream max-pool unit.
+//! [`conv_layer_cycles`] is that engine's cost, the only copy of the cycle
+//! model. [`ConvEngine::run_layer`] is its behavioural model (sliding window
+//! → MVTU → pool, pixel by pixel): the test oracle for the accelerator,
+//! which takes its values from the packed kernels instead.
 
 use crate::accel::QnnLayerParams;
 use crate::mvtu::Mvtu;
 use crate::sliding::SlidingWindow;
+use tincy_kernels::max_pool_levels;
 use tincy_nn::NnError;
-use tincy_tensor::{PoolGeom, Shape3, Tensor};
+use tincy_tensor::{Shape3, Tensor};
 
 /// Engine folding and clocking configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,8 +84,9 @@ impl ConvEngine {
         self.config
     }
 
-    /// Runs one layer on the engine, returning the 3-bit output feature map
-    /// and the consumed cycles.
+    /// Runs one layer through the behavioural model, returning the 3-bit
+    /// output feature map and the consumed cycles — a test oracle, not a
+    /// serving path.
     ///
     /// # Errors
     ///
@@ -115,26 +119,18 @@ impl ConvEngine {
                 }
             }
         }
-        let cycles =
-            conv_shape.spatial() as u64 * mvtu.cycles_per_vector() + self.config.pipeline_latency;
+        let cycles = params.cycles(self.config);
         let out = match params.pool() {
-            // The in-stream pool unit adds no cycles: it consumes the MVTU
-            // output stream at line rate.
             Some(pool) => max_pool_levels(&conv_out, pool),
             None => conv_out,
         };
         Ok((out, cycles))
     }
-
-    /// Wall-clock seconds for a cycle count at the configured clock.
-    pub fn seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.config.clock_hz as f64
-    }
 }
 
-/// Cycles one engine invocation takes for a conv layer of the given
-/// dimensions — the pure form of the model used by
-/// [`ConvEngine::run_layer`], usable for planning without weights.
+/// Cycles one engine invocation takes for a conv layer: each output pixel
+/// takes `ceil(K²·C/simd) · ceil(channels/pe)` beats, plus the pipeline
+/// fill once. The in-stream pool unit runs at line rate and adds none.
 pub fn conv_layer_cycles(
     in_shape: Shape3,
     out_channels: usize,
@@ -147,30 +143,6 @@ pub fn conv_layer_cycles(
     out.spatial() as u64 * fold as u64 + config.pipeline_latency
 }
 
-/// Max-pooling over quantized activation levels.
-pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
-    let out_shape = geom.output_shape(input.shape());
-    let mut out = Tensor::zeros(out_shape);
-    for c in 0..out_shape.channels {
-        for oy in 0..out_shape.height {
-            for ox in 0..out_shape.width {
-                let mut best = 0u8;
-                for ky in 0..geom.size {
-                    for kx in 0..geom.size {
-                        let iy = oy * geom.stride + ky;
-                        let ix = ox * geom.stride + kx;
-                        if iy < input.shape().height && ix < input.shape().width {
-                            best = best.max(input.at(c, iy, ix));
-                        }
-                    }
-                }
-                *out.at_mut(c, oy, ox) = best;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,7 +150,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tincy_quant::{ThresholdSet, ThresholdsForLayer};
-    use tincy_tensor::{BitTensor, ConvGeom};
+    use tincy_tensor::{BitTensor, ConvGeom, PoolGeom};
 
     fn layer_params(
         rng: &mut StdRng,
@@ -275,15 +247,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_levels_max() {
-        let input = Tensor::from_fn(Shape3::new(1, 2, 2), |_, y, x| (y * 2 + x) as u8);
-        let out = max_pool_levels(&input, PoolGeom::new(2, 2));
-        assert_eq!(out.as_slice(), &[3]);
-    }
-
-    #[test]
-    fn seconds_at_clock() {
-        let engine = ConvEngine::new(EngineConfig::default()).unwrap();
-        assert!((engine.seconds(300_000_000) - 1.0).abs() < 1e-9);
+    fn folding_cycle_model() {
+        let config = EngineConfig {
+            pe: 4,
+            simd: 8,
+            pipeline_latency: 5,
+            ..Default::default()
+        };
+        // 3 input channels: K²·C = 27 -> ceil(27/8) * ceil(6/4) = 4 * 2 = 8
+        // beats per pixel over a 4x4 "same" output, plus the fill latency.
+        let cycles = conv_layer_cycles(Shape3::new(3, 4, 4), 6, ConvGeom::same(3, 1), config);
+        assert_eq!(cycles, 16 * 8 + 5);
     }
 }

@@ -9,15 +9,19 @@
 //! network must be run one after the other on the same accelerator". We
 //! model exactly that:
 //!
+//! * [`accel`] — the layer-at-a-time accelerator executing a whole hidden
+//!   stack on one engine, including weight-swap traffic. Its values come
+//!   from the packed XNOR-popcount plan of `tincy-kernels` (shared with
+//!   the CPU fallback), its time from the cycle model [`conv_layer_cycles`].
+//! * [`engine`] — the cycle model, and [`ConvEngine::run_layer`], the
+//!   behavioural model of one generalized conv(+pool) engine built from
+//!   the units below: the **test oracle** for the accelerator.
 //! * [`mvtu`] — the Matrix–Vector–Threshold Unit: PE×SIMD-folded
 //!   XNOR-popcount dot products followed by integer threshold activations.
 //!   Its arithmetic is **bit-exact** against the naive integer reference in
 //!   [`tincy_quant::BinaryDot`].
 //! * [`sliding`] — the sliding-window unit feeding kernel footprints to the
 //!   MVTU (the on-the-fly `im2col` of the dataflow architecture).
-//! * [`engine`] — one generalized conv(+pool) engine with a cycle model.
-//! * [`accel`] — the layer-at-a-time accelerator executing a whole hidden
-//!   stack on one engine, including weight-swap traffic.
 //! * [`fault`] — deterministic fault injection for the offload boundary
 //!   (DMA timeouts, busy fabric, corrupted result buffers, bitstream
 //!   loss), driving the host-side retry/fallback machinery.
@@ -38,8 +42,9 @@ pub mod sliding;
 pub use accel::{AccelReport, QnnAccelerator, QnnLayerParams};
 pub use backend::{FabricBackend, FABRIC_LIBRARY};
 pub use device::FpgaDevice;
-pub use engine::{conv_layer_cycles, max_pool_levels, ConvEngine, EngineConfig};
+pub use engine::{conv_layer_cycles, ConvEngine, EngineConfig};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultStats, FaultWindow};
 pub use mvtu::Mvtu;
 pub use resource::{model_estimate, ResourceEstimate};
 pub use sliding::SlidingWindow;
+pub use tincy_kernels::max_pool_levels;

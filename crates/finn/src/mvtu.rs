@@ -6,6 +6,7 @@
 //! "multipliers" degenerate to XNOR/AND gates feeding popcount trees; with
 //! 3-bit activations the dot product is evaluated per bitplane and the
 //! planes are combined with shifts — see [`tincy_quant::xnor_popcount_dot`].
+//! Part of the behavioural test oracle, [`crate::ConvEngine::run_layer`].
 
 use tincy_nn::NnError;
 use tincy_quant::{xnor_popcount_dot, ThresholdsForLayer};
@@ -115,13 +116,6 @@ impl Mvtu {
             })
             .collect()
     }
-
-    /// Cycles to process one activation vector: the matrix is folded onto
-    /// the PE×SIMD array, so one vector takes
-    /// `ceil(dot/simd) · ceil(channels/pe)` beats.
-    pub fn cycles_per_vector(&self) -> u64 {
-        (self.dot_length().div_ceil(self.simd) * self.out_channels().div_ceil(self.pe)) as u64
-    }
 }
 
 #[cfg(test)]
@@ -183,14 +177,6 @@ mod tests {
         // acc = 0 -> passes only threshold 0 -> level 1.
         let zeros = U3Tensor::from_values(&[0, 0, 0, 0]).unwrap();
         assert_eq!(mvtu.process(&zeros), vec![1]);
-    }
-
-    #[test]
-    fn folding_cycle_model() {
-        let mut rng = StdRng::seed_from_u64(78);
-        let mvtu = random_mvtu(&mut rng, 6, 27);
-        // ceil(27/8) * ceil(6/4) = 4 * 2 = 8 cycles per vector.
-        assert_eq!(mvtu.cycles_per_vector(), 8);
     }
 
     #[test]

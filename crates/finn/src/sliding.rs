@@ -6,6 +6,7 @@
 //! time; padding emits level 0, which is exact because hidden feature maps
 //! are unsigned quantized activations whose level 0 *is* real zero (the
 //! output of a ReLU-style threshold stack).
+//! Part of the behavioural test oracle, [`crate::ConvEngine::run_layer`].
 
 use tincy_nn::NnError;
 use tincy_tensor::{ConvGeom, Shape3, Tensor, U3Tensor};

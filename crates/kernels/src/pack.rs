@@ -154,7 +154,8 @@ impl PackedLayer {
         }
     }
 
-    /// Evaluates the layer with the chosen kernel variant.
+    /// Evaluates the layer with the chosen kernel variant inside a
+    /// `cpu.kernel.<variant>` span — the CPU fallback's entry point.
     ///
     /// `threads` only matters for [`Variant::Threaded`]; every variant
     /// produces bit-identical output.
@@ -163,7 +164,6 @@ impl PackedLayer {
     ///
     /// Panics if `input` has the wrong shape.
     pub fn forward(&self, input: &Tensor<u8>, variant: Variant, threads: usize) -> Tensor<u8> {
-        assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
         let label = match variant {
             Variant::Scalar => static_label!("cpu.kernel.scalar"),
             Variant::Unrolled4 => static_label!("cpu.kernel.unrolled4"),
@@ -177,6 +177,22 @@ impl PackedLayer {
             builder = builder.layer(layer);
         }
         let _span = builder.start();
+        self.forward_untraced(input, variant, threads)
+    }
+
+    /// [`PackedLayer::forward`] without the span, for the simulated fabric,
+    /// whose time is accounted under its own `finn.layer` span.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` has the wrong shape.
+    pub fn forward_untraced(
+        &self,
+        input: &Tensor<u8>,
+        variant: Variant,
+        threads: usize,
+    ) -> Tensor<u8> {
+        assert_eq!(input.shape(), self.in_shape, "input shape mismatch");
         let conv_shape = self.geom.output_shape(self.in_shape, self.weights.rows());
         let map = self.pack_input(input, conv_shape);
         let mut conv_out = Tensor::zeros(conv_shape);
@@ -310,12 +326,7 @@ impl PackedLayer {
                 }
             });
         } else {
-            let sequential = if variant == Variant::Threaded {
-                Variant::Blocked
-            } else {
-                variant
-            };
-            self.gemm_range(map, out, 0, rows, sequential);
+            self.gemm_range(map, out, 0, rows, variant);
         }
     }
 
@@ -405,9 +416,9 @@ fn dot_unrolled(wrow: &[u64], planes: &[Vec<u64>], base: usize) -> i32 {
 
 /// Max-pool over quantization levels — the unsigned activation codes are
 /// monotone in the represented value, so pooling codes equals pooling
-/// values. Same semantics as the fabric engine's pooling stage: ragged
-/// edge windows are truncated at the feature-map border.
-fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
+/// values. This is also the fabric engine's in-stream pooling stage:
+/// ragged edge windows are truncated at the feature-map border.
+pub fn max_pool_levels(input: &Tensor<u8>, geom: PoolGeom) -> Tensor<u8> {
     let shape = input.shape();
     let out_shape = geom.output_shape(shape);
     let mut out = Tensor::zeros(out_shape);
@@ -526,6 +537,13 @@ mod tests {
             assert_eq!(got.as_slice(), expected.as_slice(), "variant={variant:?}");
         }
         assert_eq!(expected.shape(), layer.out_shape());
+    }
+
+    #[test]
+    fn pool_levels_max() {
+        let input = Tensor::from_fn(Shape3::new(1, 2, 2), |_, y, x| (y * 2 + x) as u8);
+        let out = max_pool_levels(&input, PoolGeom::new(2, 2));
+        assert_eq!(out.as_slice(), &[3]);
     }
 
     #[test]

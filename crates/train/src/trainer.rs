@@ -142,8 +142,18 @@ pub fn evaluate_map(
 mod tests {
     use super::*;
     use crate::layers::{Act, QuantMode, TrainConvSpec, TrainLayerSpec};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use tincy_tensor::Shape3;
     use tincy_video::{generate_dataset, DatasetConfig, SceneConfig};
+
+    /// `train()` emits spans into the process-global trace session, so the
+    /// tests that call it serialize here: a sibling's span edges must not
+    /// land in the session the span test is recording. The lock guards no
+    /// data, so a guard poisoned by a failed sibling is safe to take over.
+    fn train_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn detector_specs(classes: usize) -> Vec<TrainLayerSpec> {
         let conv = |filters, stride, act| {
@@ -190,6 +200,7 @@ mod tests {
 
     #[test]
     fn loss_decreases_over_training() {
+        let _guard = train_lock();
         let mut net = TrainNet::new(Shape3::new(3, 32, 32), &detector_specs(2), 1).unwrap();
         let loss = DetectionLoss::new(2, (0.4, 0.4));
         let data = small_dataset(16);
@@ -212,6 +223,7 @@ mod tests {
 
     #[test]
     fn training_improves_map_over_untrained() {
+        let _guard = train_lock();
         let loss = DetectionLoss::new(2, (0.4, 0.4));
         let data = small_dataset(24);
         let mut untrained = TrainNet::new(Shape3::new(3, 32, 32), &detector_specs(2), 1).unwrap();
@@ -238,6 +250,7 @@ mod tests {
 
     #[test]
     fn training_emits_epoch_and_step_spans() {
+        let _guard = train_lock();
         let mut net = TrainNet::new(Shape3::new(3, 32, 32), &detector_specs(2), 1).unwrap();
         let loss = DetectionLoss::new(2, (0.4, 0.4));
         let data = small_dataset(4);

@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tincy::finn::{EngineConfig, QnnAccelerator, QnnLayerParams};
+use tincy::finn::{ConvEngine, EngineConfig, QnnAccelerator, QnnLayerParams};
 use tincy::quant::{ThresholdSet, ThresholdsForLayer};
 use tincy::tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
@@ -32,9 +32,11 @@ fn random_layer(
     QnnLayerParams::new(in_shape, weights, thresholds, geom, pool).expect("consistent")
 }
 
-/// The headline invariant: the folded, packed, popcount-based MVTU pipeline
-/// produces **bit-exact** results against the naive integer reference, for
-/// many random layer stacks and inputs.
+/// The headline invariant: the accelerator's packed compute path produces
+/// **bit-exact** results against two independent oracles — the behavioural
+/// MVTU engine run layer by layer, and the naive integer reference — and its
+/// per-layer cycles equal the engine's, for many random layer stacks,
+/// inputs and foldings.
 #[test]
 fn mvtu_bit_exact_over_random_stacks() {
     let mut rng = StdRng::seed_from_u64(2024);
@@ -55,10 +57,25 @@ fn mvtu_bit_exact_over_random_stacks() {
         let accel = QnnAccelerator::new(vec![l1, l2], config).expect("chains");
         let input: Tensor<u8> = Tensor::from_fn(in_shape, |_, _, _| rng.gen_range(0..8));
         let (hw_out, report) = accel.run(&input).expect("runs");
-        let sw_out = accel.reference_run(&input).expect("runs");
+
+        let engine = ConvEngine::new(config).expect("valid folding");
+        let mut oracle = input.clone();
+        for (i, layer) in accel.layers().iter().enumerate() {
+            let (out, cycles) = engine.run_layer(layer, &oracle).expect("runs");
+            assert_eq!(
+                report.layer_cycles[i], cycles,
+                "trial {trial}: layer {i} cycles diverged from the engine model"
+            );
+            oracle = out;
+        }
         assert_eq!(
-            hw_out, sw_out,
-            "trial {trial}: fabric diverged from reference"
+            hw_out, oracle,
+            "trial {trial}: fabric diverged from the MVTU oracle"
+        );
+        assert_eq!(
+            hw_out,
+            accel.reference_run_naive(&input).expect("runs"),
+            "trial {trial}: fabric diverged from the naive reference"
         );
         assert!(report.total_cycles() > 0);
     }
