@@ -11,7 +11,8 @@
 //! ```
 //!
 //! Exits nonzero when the whole-network packed speedup drops below the
-//! 3x floor the fallback path budgets for, so CI can gate on it.
+//! 8x floor the fallback path budgets for, or any single layer's below
+//! 6x, so CI can gate on it.
 
 use std::time::{Duration, Instant};
 use tincy_finn::engine::EngineConfig;
@@ -21,7 +22,8 @@ use tincy_quant::{ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
 const REPS: usize = 5;
-const SPEEDUP_FLOOR: f64 = 3.0;
+const SPEEDUP_FLOOR: f64 = 8.0;
+const LAYER_SPEEDUP_FLOOR: f64 = 6.0;
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
     let mut state = seed | 1;
@@ -134,6 +136,7 @@ fn main() {
     // packed (autotuned variant) vs the naive signed loop.
     let plan = accel.kernel_plan();
     let mut layer_rows = JsonArray::new();
+    let mut layer_speedups = Vec::new();
     let mut fmap = input.clone();
     for (i, packed_layer) in accel.packed_layers().iter().enumerate() {
         let entry = plan.entry(i);
@@ -161,6 +164,7 @@ fn main() {
                 .f64("speedup", speedup)
                 .finish(),
         );
+        layer_speedups.push(speedup);
         fmap = packed_layer.forward(&fmap, entry.variant, entry.threads);
     }
 
@@ -186,6 +190,7 @@ fn main() {
             .f64("network_packed_ms", packed_t.as_secs_f64() * 1000.0)
             .f64("network_speedup", speedup)
             .f64("speedup_floor", SPEEDUP_FLOOR)
+            .f64("layer_speedup_floor", LAYER_SPEEDUP_FLOOR)
             .bool("degraded_bit_exact", true)
             .finish()
     );
@@ -194,6 +199,12 @@ fn main() {
         Err(e) => eprintln!("failed to write {out_path}: {e}"),
     }
 
+    for (i, layer_speedup) in layer_speedups.iter().enumerate() {
+        assert!(
+            *layer_speedup >= LAYER_SPEEDUP_FLOOR,
+            "L{i} packed speedup {layer_speedup:.2}x is below the {LAYER_SPEEDUP_FLOOR:.0}x per-layer floor"
+        );
+    }
     assert!(
         speedup >= SPEEDUP_FLOOR,
         "whole-network packed speedup {speedup:.2}x is below the {SPEEDUP_FLOOR:.0}x floor"

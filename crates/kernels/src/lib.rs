@@ -25,7 +25,7 @@ pub mod pack;
 pub mod tune;
 
 pub use gemm::{gemm_q8, gemm_q8_reference};
-pub use pack::{max_pool_levels, PackedLayer};
+pub use pack::{max_pool_levels, reference_conv, PackedLayer};
 pub use tune::{
     autotune, plan_for, plan_snapshot, registry_json, KernelPlan, LayerShape, PlanEntry,
     TuneBudget, TuneMode, Variant,

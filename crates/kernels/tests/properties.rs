@@ -1,11 +1,14 @@
 //! Property-based tests: every packed kernel variant is bit-exact with
 //! the naive signed reference over randomized layer configurations and
-//! thread counts, across the precision profiles the fallback path serves
+//! thread counts, at channel counts whose tap chunks fill, straddle and
+//! span several packed words, across the precision profiles the fallback path serves
 //! (W1A1, W1A3 binarized-weight layers and W8A8 quantized GEMM), and the
 //! autotuner is deterministic under a fixed budget.
 
 use proptest::prelude::*;
-use tincy_kernels::{autotune, gemm_q8, gemm_q8_reference, PackedLayer, TuneBudget, Variant};
+use tincy_kernels::{
+    autotune, gemm_q8, gemm_q8_reference, reference_conv, PackedLayer, TuneBudget, Variant,
+};
 use tincy_quant::{ThresholdSet, ThresholdsForLayer};
 use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 
@@ -13,6 +16,7 @@ use tincy_tensor::{BitTensor, ConvGeom, PoolGeom, Shape3, Tensor};
 struct LayerCase {
     in_shape: Shape3,
     out_channels: usize,
+    kernel: usize,
     stride: usize,
     pool: Option<PoolGeom>,
     act_bits: usize,
@@ -23,9 +27,19 @@ struct LayerCase {
 
 fn layer_case() -> impl Strategy<Value = LayerCase> {
     (
-        1usize..4,
+        // Tap chunks inside one word, word-aligned (64), straddling a
+        // boundary (63, 65) and spanning three words (130).
+        prop_oneof![
+            1usize..4,
+            Just(16usize),
+            Just(63usize),
+            Just(64usize),
+            Just(65usize),
+            Just(130usize),
+        ],
         4usize..9,
         1usize..7,
+        prop_oneof![Just(1usize), Just(3usize)],
         1usize..3,
         proptest::option::of((1usize..3).prop_map(|s| PoolGeom::new(2, s))),
         // W1A1 and W1A3 activation profiles; 2-bit rides along since the
@@ -36,9 +50,10 @@ fn layer_case() -> impl Strategy<Value = LayerCase> {
         any::<u64>(),
     )
         .prop_map(
-            |(c, hw, oc, stride, pool, act_bits, threads, ws, is)| LayerCase {
+            |(c, hw, oc, kernel, stride, pool, act_bits, threads, ws, is)| LayerCase {
                 in_shape: Shape3::new(c, hw, hw),
                 out_channels: oc,
+                kernel,
                 stride,
                 pool,
                 act_bits,
@@ -59,20 +74,31 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-fn build_layer(case: &LayerCase) -> PackedLayer {
-    let geom = ConvGeom::same(3, case.stride);
+/// The layer under test with the channel-major weights and thresholds it
+/// was built from, which [`reference_conv`] reads.
+fn build_layer(case: &LayerCase) -> (PackedLayer, BitTensor, ThresholdsForLayer) {
+    let geom = geom(case);
     let cols = geom.dot_length(case.in_shape.channels);
     let mut rng = lcg(case.weight_seed);
     let signs: Vec<i8> = (0..case.out_channels * cols)
         .map(|_| if rng() & 1 == 0 { 1 } else { -1 })
         .collect();
     let weights = BitTensor::from_signs(case.out_channels, cols, &signs).expect("dims");
+    // Thresholds inside the accumulator's spread, σ = √(cols · E[a²]) for
+    // random ±1 weights and uniform activations, so the outputs cover the
+    // levels instead of saturating at any footprint size: a random
+    // centre within ±σ/2, a random step up to 3σ/levels.
     let levels = (1usize << case.act_bits) - 1;
+    let n = (1u64 << case.act_bits) as f64;
+    let sigma = (cols as f64 * (n - 1.0) * (2.0 * n - 1.0) / 6.0).sqrt();
+    let half = (sigma / 2.0) as u64;
+    let max_step = ((3.0 * sigma / levels as f64) as u64).max(1);
     let thresholds = ThresholdsForLayer::new(
         (0..case.out_channels)
             .map(|_| {
-                let base = (rng() % 40) as i32 - 25;
-                let step = (rng() % 6) as i32 + 1;
+                let centre = (rng() % (2 * half + 1)) as i32 - half as i32;
+                let step = (rng() % max_step) as i32 + 1;
+                let base = centre - step * (levels as i32 - 1) / 2;
                 let taus: Vec<i32> = (0..levels as i32).map(|k| base + k * step).collect();
                 let ascending = rng() & 1 == 0;
                 ThresholdSet::with_direction(taus, ascending).expect("monotone")
@@ -80,14 +106,19 @@ fn build_layer(case: &LayerCase) -> PackedLayer {
             .collect(),
     )
     .expect("uniform");
-    PackedLayer::new(
+    let layer = PackedLayer::new(
         case.in_shape,
-        weights,
-        thresholds,
+        weights.clone(),
+        thresholds.clone(),
         geom,
         case.pool,
         case.act_bits,
-    )
+    );
+    (layer, weights, thresholds)
+}
+
+fn geom(case: &LayerCase) -> ConvGeom {
+    ConvGeom::same(case.kernel, case.stride)
 }
 
 fn build_input(case: &LayerCase) -> Tensor<u8> {
@@ -100,13 +131,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every packed variant equals the naive signed reference, at any
-    /// thread count, for W1A1 through W1A3 layers with arbitrary strides
-    /// and pooling.
+    /// thread count, for W1A1 through W1A3 layers with 1×1 and 3×3
+    /// kernels, arbitrary strides and pooling.
     #[test]
     fn packed_variants_bit_exact_with_reference(case in layer_case()) {
-        let layer = build_layer(&case);
+        let (layer, weights, thresholds) = build_layer(&case);
         let input = build_input(&case);
-        let expected = layer.forward_reference(&input);
+        let expected = reference_conv(&input, &weights, &thresholds, geom(&case), case.pool);
         for variant in Variant::ALL {
             let got = layer.forward(&input, variant, case.threads);
             prop_assert_eq!(
@@ -142,7 +173,7 @@ proptest! {
     /// same stack always yields the same plan, regardless of seed.
     #[test]
     fn autotuner_is_deterministic(case in layer_case(), seed in any::<u64>()) {
-        let layer = build_layer(&case);
+        let (layer, _, _) = build_layer(&case);
         let layers = [layer];
         let first = autotune(&layers, &TuneBudget::model());
         let mut reseeded = TuneBudget::model();

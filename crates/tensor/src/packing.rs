@@ -61,10 +61,12 @@ impl BitTensor {
         }
         let mut out = Self::zeros(rows, cols);
         for r in 0..rows {
-            for c in 0..cols {
-                if signs[r * cols + c] > 0 {
-                    out.set(r, c, true);
-                }
+            let row = &signs[r * cols..(r + 1) * cols];
+            for (word, chunk) in out.row_words_mut(r).iter_mut().zip(row.chunks(WORD_BITS)) {
+                *word = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (b, &s)| acc | u64::from(s > 0) << b);
             }
         }
         Ok(out)
@@ -123,6 +125,12 @@ impl BitTensor {
     /// The packed words of one row.
     pub fn row_words(&self, r: usize) -> &[u64] {
         &self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
+    }
+
+    /// The packed words of one row, writable. Callers keep the padding
+    /// bits beyond [`BitTensor::cols`] clear.
+    pub fn row_words_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
     }
 
     /// The signed weight at `(r, c)`: `+1` if the bit is set, else `-1`.
